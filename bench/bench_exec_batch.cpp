@@ -1,22 +1,13 @@
-// Batch vs. tuple execution wall-clock microbenchmark.
+// Morsel-parallel execution wall-clock microbenchmark.
 //
 // Builds a 100k-row fact table joined against a 10k-row dim table with
-// a pushed-down selection, then drives *identical* executor trees
-// through the tuple-at-a-time interface (Next) and the batch interface
-// (NextBatch), timing real wall-clock per drained row. Simulated
-// CostMeter charges are identical by construction (exec_batch_test
-// proves it); this bench quantifies the real-time win of DESIGN.md §10.
-//
-// A second section sweeps the same scan+join across exec_threads
-// 1/2/4/8 (DESIGN.md §15): the morsel-parallel engine must produce the
-// identical rows and CostMeter charges at every setting (checked here,
-// not just in tests), and the `parallel.t<k>_over_t1` wall-clock ratios
-// are gated lower-is-better by bench_compare.py. On a many-core host
-// the 8-thread ratio should sit well under 1; on a single hardware
-// thread it degrades gracefully toward 1.
-//
-// Output is bench_compare.py-friendly: `batch improvement` is the gated
-// higher-is-better headline.
+// a pushed-down selection, then sweeps the same scan+join across
+// exec_threads 1/2/4/8 (DESIGN.md §15): the morsel-parallel engine must
+// produce the identical rows and CostMeter charges at every setting
+// (checked here, not just in tests), and the `parallel.t<k>_over_t1`
+// wall-clock ratios are gated lower-is-better by bench_compare.py. On a
+// many-core host the 8-thread ratio should sit well under 1; on a
+// single hardware thread it degrades gracefully toward 1.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,7 +26,7 @@ constexpr size_t kFactRows = 100000;
 constexpr size_t kDimRows = 10000;
 constexpr int kReps = 5;
 
-std::unique_ptr<Database> BuildDb(size_t exec_threads = 1) {
+std::unique_ptr<Database> BuildDb(size_t exec_threads) {
   DatabaseOptions options;
   options.buffer_pool_pages = 8192;  // tables fit: measure CPU, not I/O
   options.exec_threads = exec_threads;
@@ -76,8 +67,7 @@ std::unique_ptr<Database> BuildDb(size_t exec_threads = 1) {
 
 /// Fresh scan(fact, f_v < 60) ⋈ dim executor tree. With the database's
 /// scheduler attached, scan morsels and the fused probe run on workers.
-std::unique_ptr<Executor> BuildTree(Database* db,
-                                    bool parallel = false) {
+std::unique_ptr<Executor> BuildTree(Database* db) {
   TableInfo* dim = db->catalog().GetTable("dim");
   TableInfo* fact = db->catalog().GetTable("fact");
   SelectionPred pred;
@@ -95,7 +85,7 @@ std::unique_ptr<Executor> BuildTree(Database* db,
   auto probe = std::make_unique<SeqScanExecutor>(
       fact, &db->buffer_pool(), &db->meter(),
       std::vector<BoundSelection>{*bound});
-  ExecParallel par{parallel ? db->scheduler() : nullptr, false};
+  ExecParallel par{db->scheduler(), false};
   build->EnableParallel(par);
   probe->EnableParallel(par);
   auto join = std::make_unique<HashJoinExecutor>(std::move(build),
@@ -113,25 +103,9 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Drain via Next(); returns rows produced, records seconds.
-size_t RunTuple(Database* db, double* seconds) {
-  auto exec = BuildTree(db);
-  auto start = std::chrono::steady_clock::now();
-  if (!exec->Init().ok()) std::exit(1);
-  size_t rows = 0;
-  for (;;) {
-    auto row = exec->Next();
-    if (!row.ok()) std::exit(1);
-    if (!row->has_value()) break;
-    rows++;
-  }
-  *seconds = SecondsSince(start);
-  return rows;
-}
-
 /// Drain via NextBatch(); returns rows produced, records seconds.
-size_t RunBatch(Database* db, double* seconds, bool parallel = false) {
-  auto exec = BuildTree(db, parallel);
+size_t RunBatch(Database* db, double* seconds) {
+  auto exec = BuildTree(db);
   auto start = std::chrono::steady_clock::now();
   if (!exec->Init().ok()) std::exit(1);
   size_t rows = 0;
@@ -153,12 +127,12 @@ double RunScaling(size_t exec_threads, size_t* rows_out,
                   uint64_t* tuples_out) {
   auto db = BuildDb(exec_threads);
   double s = 0;
-  RunBatch(db.get(), &s, /*parallel=*/true);  // warm
+  RunBatch(db.get(), &s);  // warm
   uint64_t t0 = db->meter().tuples_processed();
   double best = 1e9;
   size_t rows = 0;
   for (int rep = 0; rep < kReps; rep++) {
-    rows = RunBatch(db.get(), &s, /*parallel=*/true);
+    rows = RunBatch(db.get(), &s);
     best = std::min(best, s);
   }
   *rows_out = rows;
@@ -171,41 +145,6 @@ double RunScaling(size_t exec_threads, size_t* rows_out,
 }  // namespace
 
 int main() {
-  auto db = BuildDb();
-
-  // Warm both paths once (page cache, allocator), then alternate timed
-  // reps and keep the fastest of each (least scheduler noise).
-  double s = 0;
-  size_t tuple_rows = RunTuple(db.get(), &s);
-  size_t batch_rows = RunBatch(db.get(), &s);
-  if (tuple_rows != batch_rows) {
-    std::fprintf(stderr, "row mismatch: %zu vs %zu\n", tuple_rows,
-                 batch_rows);
-    return 1;
-  }
-
-  double tuple_best = 1e9;
-  double batch_best = 1e9;
-  for (int rep = 0; rep < kReps; rep++) {
-    RunTuple(db.get(), &s);
-    tuple_best = std::min(tuple_best, s);
-    RunBatch(db.get(), &s);
-    batch_best = std::min(batch_best, s);
-  }
-
-  double denom = static_cast<double>(tuple_rows);
-  double tuple_ns = tuple_best * 1e9 / denom;
-  double batch_ns = batch_best * 1e9 / denom;
-  double speedup = tuple_best / batch_best;
-
-  std::printf("--- 100k scan+join ---\n");
-  std::printf("fact_rows: %zu\n", kFactRows);
-  std::printf("joined_rows: %zu\n", tuple_rows);
-  std::printf("tuple_ns_per_row: %.1f\n", tuple_ns);
-  std::printf("batch_ns_per_row: %.1f\n", batch_ns);
-  std::printf("speedup: %.2f\n", speedup);
-  std::printf("batch improvement: %.1f %%\n", (speedup - 1.0) * 100.0);
-
   // ---- morsel-parallel scaling sweep (DESIGN.md §15) ----
   std::printf("--- parallel scaling ---\n");
   const size_t thread_counts[] = {1, 2, 4, 8};

@@ -213,8 +213,7 @@ namespace {
 Result<QueryResult> RunToResult(Executor* exec, CostMeter& meter,
                                 const ExecuteOptions& options,
                                 std::string plan_explain,
-                                std::vector<std::string> views_used,
-                                size_t batch_size) {
+                                std::vector<std::string> views_used) {
   CostScope scope(meter);
   QueryResult result;
   result.plan_explain = std::move(plan_explain);
@@ -222,7 +221,7 @@ Result<QueryResult> RunToResult(Executor* exec, CostMeter& meter,
   result.schema = exec->output_schema();
 
   SQP_RETURN_IF_ERROR(exec->Init());
-  TupleBatch batch(batch_size);
+  TupleBatch batch(kDefaultExecBatchSize);
   for (;;) {
     auto more = exec->NextBatch(&batch);
     if (!more.ok()) return more.status();
@@ -279,7 +278,7 @@ Result<QueryResult> Database::Execute(const QueryGraph& query,
                               ExecParallel{scheduler_.get(), false});
   if (!exec.ok()) return exec.status();
   auto result = RunToResult(exec->get(), meter_, options, plan->Explain(),
-                            plan->views_used, options_.exec_batch_size);
+                            plan->views_used);
   if (scheduler_ != nullptr) scheduler_->FoldStats();
   attr.Close();
   if (result.ok()) {
@@ -393,7 +392,7 @@ Result<QueryResult> Database::ExecuteSql(const std::string& sql,
   }
 
   auto result = RunToResult(exec.get(), meter_, options, plan->Explain(),
-                            plan->views_used, options_.exec_batch_size);
+                            plan->views_used);
   if (scheduler_ != nullptr) scheduler_->FoldStats();
   attr.Close();
   if (result.ok()) {

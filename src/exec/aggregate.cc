@@ -106,10 +106,6 @@ std::optional<Tuple> HashAggregateExecutor::EmitNext() {
   return out;
 }
 
-Result<std::optional<Tuple>> HashAggregateExecutor::Next() {
-  return std::optional<Tuple>(EmitNext());
-}
-
 Result<bool> HashAggregateExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
   while (out->size() < out->target_rows()) {

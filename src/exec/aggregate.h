@@ -37,7 +37,6 @@ class HashAggregateExecutor : public Executor {
                         std::vector<AggSpec> aggregates, CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return schema_; }
 
@@ -70,35 +69,30 @@ class HashAggregateExecutor : public Executor {
 
 /// LIMIT n on top of any child.
 ///
-/// NextBatch is native (fills the output batch directly and reports
-/// `exec.batch.*` metrics via FinishBatch) but pulls its *child* at
-/// tuple grain: LIMIT must stop pulling — and charging — the child
-/// after exactly `limit` rows, and a batch-grain child pull would
-/// over-produce (page-at-a-time scans finish the page they pinned),
-/// changing simulated CostMeter totals relative to the tuple engine.
-/// Tuple-grain child pulls are the charge-parity-preserving strategy
-/// (DESIGN.md §10); exec_batch_test's differential harness enforces it.
+/// The child is pulled at a fixed grain of one row per NextBatch call,
+/// and never again once `limit` rows are in hand. Rows a pull returns
+/// beyond that grain (a page scan finishes the page it pinned, a join
+/// flushes all of a probe row's matches) wait in `child_batch_` for a
+/// later call. The child is therefore charged exactly as the subtree
+/// driven at batch size 1 until it covers `limit` rows, whatever the
+/// output batch size or exec_threads (DESIGN.md §10).
 class LimitExecutor : public Executor {
  public:
   LimitExecutor(std::unique_ptr<Executor> child, uint64_t limit)
-      : child_(std::move(child)), limit_(limit) {}
+      : child_(std::move(child)), limit_(limit), child_batch_(1) {}
 
   Status Init() override { return child_->Init(); }
-  Result<std::optional<Tuple>> Next() override {
-    if (produced_ >= limit_) return std::optional<Tuple>();
-    auto row = child_->Next();
-    if (!row.ok()) return row.status();
-    if (row->has_value()) produced_++;
-    return row;
-  }
   Result<bool> NextBatch(TupleBatch* out) override {
     out->Clear();
     while (out->size() < out->target_rows() && produced_ < limit_) {
-      auto row = child_->Next();
-      if (!row.ok()) return row.status();
-      if (!row->has_value()) break;
+      if (child_pos_ >= child_batch_.size()) {
+        auto more = child_->NextBatch(&child_batch_);
+        if (!more.ok()) return more.status();
+        if (child_batch_.empty()) break;
+        child_pos_ = 0;
+      }
+      out->PushRow(std::move(child_batch_[child_pos_++]));
       produced_++;
-      out->PushRow(std::move(**row));
     }
     return exec_internal::FinishBatch(*out);
   }
@@ -110,6 +104,8 @@ class LimitExecutor : public Executor {
   std::unique_ptr<Executor> child_;
   uint64_t limit_;
   uint64_t produced_ = 0;
+  TupleBatch child_batch_;
+  size_t child_pos_ = 0;
 };
 
 }  // namespace sqp

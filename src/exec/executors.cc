@@ -73,7 +73,7 @@ Value DecodeColumn(const uint8_t* rec, size_t col) {
 // EvalConjunction against the serialized record instead of a decoded
 // tuple. DecodeColumn yields exactly the Value DeserializeTuple would,
 // and the comparison is the same Value::Compare, so the verdict is
-// bit-identical to the tuple path's.
+// bit-identical to EvalConjunction on the decoded row.
 bool EvalConjunctionOnRecord(const std::vector<BoundSelection>& preds,
                              const uint8_t* rec) {
   for (const BoundSelection& p : preds) {
@@ -89,24 +89,6 @@ bool EvalConjunctionOnRecord(const std::vector<BoundSelection>& preds,
 }
 
 }  // namespace
-
-// ----------------------------------------------------- Executor (adapter)
-
-// Default batch shim: loop Next(). Kept as the fallback for executors
-// with no native batch loop (every shipped executor now overrides
-// NextBatch; LIMIT's override still pulls its child tuple-at-a-time,
-// which is what guarantees the child is charged for exactly `limit`
-// rows, same as the tuple engine).
-Result<bool> Executor::NextBatch(TupleBatch* out) {
-  out->Clear();
-  while (out->size() < out->target_rows()) {
-    auto row = Next();
-    if (!row.ok()) return row.status();
-    if (!row->has_value()) break;
-    out->PushRow(std::move(**row));
-  }
-  return exec_internal::FinishBatch(*out);
-}
 
 // ---------------------------------------------------------------- SeqScan
 
@@ -134,9 +116,6 @@ Status SeqScanExecutor::Init() {
   window_.clear();
   dispatch_index_ = 0;
   page_index_ = 0;
-  slot_ = 0;
-  guard_.Release();
-  page_loaded_ = false;
   return Status::OK();
 }
 
@@ -191,110 +170,52 @@ void SeqScanExecutor::DispatchWindow() {
   }
 }
 
-Result<bool> SeqScanExecutor::NextBatchParallel(TupleBatch* out) {
+void SeqScanExecutor::AppendSurvivors(const Page& page,
+                                      TupleBatch* out) const {
+  const uint16_t nslots = page.slot_count();
+  for (uint16_t s = 0; s < nslots; s++) {
+    uint16_t len = 0;
+    const uint8_t* rec = page.Record(s, &len);
+    if (!predicates_.empty() && !EvalConjunctionOnRecord(predicates_, rec)) {
+      continue;
+    }
+    DeserializeTupleInto(rec, len, &out->AppendSlot());
+  }
+}
+
+bool SeqScanExecutor::TakeWindowRows(uint16_t nslots, TupleBatch* out) {
+  std::unique_ptr<PageTask> task = std::move(window_.front());
+  window_.pop_front();
+  AwaitTask(task.get());
+  if (task->fallback || task->nslots != nslots) {
+    m_fallbacks_->Increment();
+    return false;
+  }
+  for (Tuple& row : task->rows) out->PushRow(std::move(row));
+  return true;
+}
+
+Result<bool> SeqScanExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
   const std::vector<page_id_t>& pages = table_->heap->pages();
   while (out->size() < out->target_rows() && page_index_ < pages.size()) {
-    DispatchWindow();
-    // The accountable fetch, replayed in sequential page order: pool
-    // hit/miss state, I/O charges, fault firing, and replica routing
-    // are identical to the single-threaded scan's (the window holds
-    // only charge-free snapshots).
+    if (scheduler_ != nullptr) DispatchWindow();
+    // The accountable fetch, in sequential page order: pool hit/miss
+    // state, I/O charges, fault firing, and replica routing are the
+    // same at every thread count (the lookahead window holds only
+    // charge-free snapshots).
     const page_id_t page_id = pages[page_index_];
     auto page = pool_->FetchPage(page_id);
     if (!page.ok()) return page.status();
     PageGuard guard(pool_, page_id, *page);
     exec_internal::NotePagePinned();
-    std::unique_ptr<PageTask> task = std::move(window_.front());
-    window_.pop_front();
+    // Every slot on the page flows through the scan: one bulk CPU
+    // charge per page.
     const uint16_t nslots = (*page)->slot_count();
     meter_->ChargeTuples(nslots);
-    AwaitTask(task.get());
-    if (!task->fallback && task->nslots == nslots) {
-      for (Tuple& row : task->rows) out->PushRow(std::move(row));
-    } else {
-      // Process the fetched page inline — the same late-materializing
-      // loop as the sequential batch path.
-      m_fallbacks_->Increment();
-      for (uint16_t s = 0; s < nslots; s++) {
-        uint16_t len = 0;
-        const uint8_t* rec = (*page)->Record(s, &len);
-        if (!predicates_.empty() &&
-            !EvalConjunctionOnRecord(predicates_, rec)) {
-          continue;
-        }
-        DeserializeTupleInto(rec, len, &out->AppendSlot());
-      }
+    if (scheduler_ == nullptr || !TakeWindowRows(nslots, out)) {
+      AppendSurvivors(**page, out);
     }
-    page_index_++;
-  }
-  return exec_internal::FinishBatch(*out);
-}
-
-Result<bool> SeqScanExecutor::LoadCurrentPage() {
-  if (page_index_ >= table_->heap->pages().size()) return false;
-  if (!page_loaded_) {
-    page_id_t page_id = table_->heap->pages()[page_index_];
-    auto page = pool_->FetchPage(page_id);
-    if (!page.ok()) return page.status();
-    guard_ = PageGuard(pool_, page_id, *page);
-    page_loaded_ = true;
-    slot_ = 0;
-    exec_internal::NotePagePinned();
-  }
-  return true;
-}
-
-Result<std::optional<Tuple>> SeqScanExecutor::Next() {
-  for (;;) {
-    auto loaded = LoadCurrentPage();
-    if (!loaded.ok()) return loaded.status();
-    if (!*loaded) return std::optional<Tuple>();
-    const Page* page = guard_.get();
-    while (slot_ < page->slot_count()) {
-      uint16_t len = 0;
-      const uint8_t* rec = page->Record(slot_, &len);
-      slot_++;
-      meter_->ChargeTuples();
-      Tuple row = DeserializeTuple(rec, len);
-      if (EvalConjunction(predicates_, row)) {
-        return std::optional<Tuple>(std::move(row));
-      }
-    }
-    guard_.Release();
-    page_loaded_ = false;
-    page_index_++;
-  }
-}
-
-Result<bool> SeqScanExecutor::NextBatch(TupleBatch* out) {
-  if (scheduler_ != nullptr) return NextBatchParallel(out);
-  out->Clear();
-  while (out->size() < out->target_rows()) {
-    auto loaded = LoadCurrentPage();
-    if (!loaded.ok()) return loaded.status();
-    if (!*loaded) break;
-    const Page* page = guard_.get();
-    uint16_t nslots = page->slot_count();
-    if (slot_ < nslots) {
-      // Every slot on the page flows through the scan: one bulk CPU
-      // charge equals the tuple path's per-row charges.
-      meter_->ChargeTuples(nslots - slot_);
-      // Late materialization: evaluate the predicates against the
-      // serialized record and decode only the survivors, into recycled
-      // batch slots (allocation-free once the batch's pool is warm).
-      for (; slot_ < nslots; slot_++) {
-        uint16_t len = 0;
-        const uint8_t* rec = page->Record(slot_, &len);
-        if (!predicates_.empty() &&
-            !EvalConjunctionOnRecord(predicates_, rec)) {
-          continue;
-        }
-        DeserializeTupleInto(rec, len, &out->AppendSlot());
-      }
-    }
-    guard_.Release();
-    page_loaded_ = false;
     page_index_++;
   }
   return exec_internal::FinishBatch(*out);
@@ -323,18 +244,6 @@ Status IndexScanExecutor::Init() {
   return Status::OK();
 }
 
-Result<std::optional<Tuple>> IndexScanExecutor::Next() {
-  while (pos_ < rids_.size()) {
-    auto row = table_->heap->Fetch(rids_[pos_++]);
-    if (!row.ok()) return row.status();
-    meter_->ChargeTuples();
-    if (EvalConjunction(residual_, *row)) {
-      return std::optional<Tuple>(std::move(*row));
-    }
-  }
-  return std::optional<Tuple>();
-}
-
 Result<bool> IndexScanExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
   // Heap fetches stay rid-by-rid (each may touch a different page, and
@@ -361,16 +270,6 @@ FilterExecutor::FilterExecutor(std::unique_ptr<Executor> child,
       meter_(meter) {}
 
 Status FilterExecutor::Init() { return child_->Init(); }
-
-Result<std::optional<Tuple>> FilterExecutor::Next() {
-  for (;;) {
-    auto row = child_->Next();
-    if (!row.ok()) return row.status();
-    if (!row->has_value()) return std::optional<Tuple>();
-    meter_->ChargeTuples();
-    if (EvalConjunction(predicates_, **row)) return std::move(*row);
-  }
-}
 
 Result<bool> FilterExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
@@ -406,17 +305,6 @@ ProjectExecutor::ProjectExecutor(std::unique_ptr<Executor> child,
 }
 
 Status ProjectExecutor::Init() { return child_->Init(); }
-
-Result<std::optional<Tuple>> ProjectExecutor::Next() {
-  auto row = child_->Next();
-  if (!row.ok()) return row.status();
-  if (!row->has_value()) return std::optional<Tuple>();
-  meter_->ChargeTuples();
-  Tuple out;
-  out.reserve(indices_.size());
-  for (size_t idx : indices_) out.push_back(std::move((**row)[idx]));
-  return std::optional<Tuple>(std::move(out));
-}
 
 Result<bool> ProjectExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
@@ -538,7 +426,8 @@ Status HashJoinExecutor::Init() {
   }
   // Grace spill: build side over budget means both inputs take an extra
   // partition-write + re-read pass. The build side is charged here; the
-  // probe side is charged page by page as it streams (in Next).
+  // probe side is charged page by page as it streams
+  // (ChargeSpilledProbeRow).
   spilled_ = build_bytes >
              meter_->config().hash_join_memory_pages * kPageSize;
   if (spilled_) {
@@ -691,15 +580,13 @@ Result<bool> HashJoinExecutor::NextBatchFused(TupleBatch* out) {
   return exec_internal::FinishBatch(*out);
 }
 
-void HashJoinExecutor::ChargeProbeRow(const Tuple& row) {
+void HashJoinExecutor::ChargeSpilledProbeRow(const Tuple& row) {
   meter_->ChargeTuples();
-  if (spilled_) {
-    probe_spill_bytes_ += SerializedTupleSize(row);
-    while (probe_spill_bytes_ >= kPageSize) {
-      meter_->ChargeBlockWrite();
-      meter_->ChargeBlockRead();
-      probe_spill_bytes_ -= kPageSize;
-    }
+  probe_spill_bytes_ += SerializedTupleSize(row);
+  while (probe_spill_bytes_ >= kPageSize) {
+    meter_->ChargeBlockWrite();
+    meter_->ChargeBlockRead();
+    probe_spill_bytes_ -= kPageSize;
   }
 }
 
@@ -710,29 +597,6 @@ Tuple HashJoinExecutor::ConcatRows(const Tuple& build_row,
   out.insert(out.end(), build_row.begin(), build_row.end());
   out.insert(out.end(), probe_row.begin(), probe_row.end());
   return out;
-}
-
-Result<std::optional<Tuple>> HashJoinExecutor::Next() {
-  for (;;) {
-    // Emit pending matches for the current probe tuple.
-    if (probe_tuple_.has_value()) {
-      while (match_cursor_ >= 0) {
-        const Tuple& build_row = build_rows_[match_cursor_];
-        match_cursor_ = next_[match_cursor_];
-        if (build_row[build_key_].Compare((*probe_tuple_)[probe_key_]) != 0) {
-          continue;  // bucket shared by a different key
-        }
-        meter_->ChargeTuples();
-        return std::optional<Tuple>(ConcatRows(build_row, *probe_tuple_));
-      }
-    }
-    auto row = probe_->Next();
-    if (!row.ok()) return row.status();
-    if (!row->has_value()) return std::optional<Tuple>();
-    ChargeProbeRow(**row);
-    probe_tuple_ = std::move(*row);
-    match_cursor_ = BucketHead((*probe_tuple_)[probe_key_]);
-  }
 }
 
 Result<bool> HashJoinExecutor::NextBatch(TupleBatch* out) {
@@ -746,17 +610,16 @@ Result<bool> HashJoinExecutor::NextBatch(TupleBatch* out) {
       if (probe_batch_.empty()) break;
       probe_pos_ = 0;
       if (!spilled_) {
-        // One bulk CPU charge for the pulled rows: the tuple path
-        // charges the same rows one by one before the next fault
-        // opportunity (a page fetch), so totals agree at every
-        // abort point too.
+        // One bulk CPU charge for the pulled rows, made before the
+        // next fault opportunity (a page fetch), so totals agree
+        // across batch sizes at every abort point too.
         meter_->ChargeTuples(probe_batch_.size());
       }
     }
     // A probe row's matches are flushed in full (batches may overshoot
     // their soft target), so no partial-match cursor is needed here.
     const Tuple& probe = probe_batch_[probe_pos_++];
-    if (spilled_) ChargeProbeRow(probe);  // per-row spill-byte stream
+    if (spilled_) ChargeSpilledProbeRow(probe);
     for (int32_t idx = BucketHead(probe[probe_key_]); idx >= 0;
          idx = next_[idx]) {
       const Tuple& build_row = build_rows_[idx];
@@ -764,11 +627,10 @@ Result<bool> HashJoinExecutor::NextBatch(TupleBatch* out) {
         continue;  // bucket shared by a different key
       }
       meter_->ChargeTuples();
-      // Concat into a recycled slot with inlined per-value copies —
-      // the per-output-row malloc and the variant copy visitation are
-      // the two dominant costs of the tuple path's ConcatRows. A
-      // recycled slot of the right width is overwritten in place so
-      // its element storage is reused too.
+      // Concat into a recycled slot with inlined per-value copies,
+      // avoiding a per-output-row malloc and the variant copy
+      // visitation of ConcatRows. A recycled slot of the right width
+      // is overwritten in place so its element storage is reused too.
       exec_internal::ConcatInto(out->AppendSlot(), build_row, probe);
     }
   }
@@ -813,29 +675,6 @@ bool NestedLoopJoinExecutor::MatchesConditions(const Tuple& outer_row,
   return true;
 }
 
-Result<std::optional<Tuple>> NestedLoopJoinExecutor::Next() {
-  for (;;) {
-    if (!outer_tuple_.has_value()) {
-      auto row = outer_->Next();
-      if (!row.ok()) return row.status();
-      if (!row->has_value()) return std::optional<Tuple>();
-      meter_->ChargeTuples();
-      outer_tuple_ = std::move(*row);
-      inner_pos_ = 0;
-    }
-    while (inner_pos_ < inner_rows_.size()) {
-      const Tuple& inner_row = inner_rows_[inner_pos_++];
-      meter_->ChargeTuples();
-      if (MatchesConditions(*outer_tuple_, inner_row)) {
-        Tuple out = *outer_tuple_;
-        out.insert(out.end(), inner_row.begin(), inner_row.end());
-        return std::optional<Tuple>(std::move(out));
-      }
-    }
-    outer_tuple_.reset();
-  }
-}
-
 Result<bool> NestedLoopJoinExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
   while (out->size() < out->target_rows()) {
@@ -846,8 +685,8 @@ Result<bool> NestedLoopJoinExecutor::NextBatch(TupleBatch* out) {
       if (outer_batch_.empty()) break;
       outer_pos_ = 0;
     }
-    // Each outer row runs the full inner loop before the next one, so
-    // the examined-tuple charge total matches the tuple path.
+    // Each outer row runs the full inner loop before the next one: one
+    // charge for the outer row plus one per inner row examined.
     const Tuple& outer_row = outer_batch_[outer_pos_++];
     meter_->ChargeTuples();
     meter_->ChargeTuples(inner_rows_.size());
@@ -877,16 +716,6 @@ bool ColumnFilterExecutor::Passes(const Tuple& row) const {
     if (!EvalCompare(cmp, c.op)) return false;
   }
   return true;
-}
-
-Result<std::optional<Tuple>> ColumnFilterExecutor::Next() {
-  for (;;) {
-    auto row = child_->Next();
-    if (!row.ok()) return row.status();
-    if (!row->has_value()) return std::optional<Tuple>();
-    meter_->ChargeTuples();
-    if (Passes(**row)) return std::move(*row);
-  }
 }
 
 Result<bool> ColumnFilterExecutor::NextBatch(TupleBatch* out) {

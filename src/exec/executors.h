@@ -1,25 +1,19 @@
-// Batch-at-a-time executors (with a Volcano-compatible tuple shim).
+// Batch-at-a-time executors.
 //
 // Every executor charges CPU work per tuple it processes through the
 // shared CostMeter; page traffic charges I/O inside the buffer pool.
 // Together these produce the simulated execution times the experiments
 // bucket queries by.
 //
-// Execution model (DESIGN.md §10): the primary interface is
-// NextBatch(), which moves ~kDefaultExecBatchSize rows per virtual
-// call; Next() remains for tuple-driven consumers (LIMIT's child pulls,
-// legacy tests). Simulated charges are identical on both paths — only
-// real wall-clock differs. An executor instance must be driven through
-// ONE of the two interfaces; interleaving Next() and NextBatch() calls
-// on the same instance is unsupported (the scan cursors are shared, so
-// rows would not repeat, but charge-order guarantees are only stated
-// per interface).
+// Execution model (DESIGN.md §10): NextBatch() is the only way to pull
+// rows, moving ~kDefaultExecBatchSize rows per virtual call. Simulated
+// charges are per tuple and per page, so they do not depend on how rows
+// are grouped into batches — only real wall-clock does.
 #pragma once
 
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -51,18 +45,13 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Prepare for iteration. Must be called exactly once before
-  /// Next()/NextBatch().
+  /// NextBatch().
   virtual Status Init() = 0;
-
-  /// Produce the next tuple, or nullopt at end of stream.
-  virtual Result<std::optional<Tuple>> Next() = 0;
 
   /// Fill `out` (cleared first) with up to ~out->target_rows() tuples;
   /// page-at-a-time producers may overshoot by up to one page. Returns
-  /// false exactly at end of stream (empty batch). The base
-  /// implementation adapts Next() so every executor is batch-drivable;
-  /// hot operators override it with a native batch loop.
-  virtual Result<bool> NextBatch(TupleBatch* out);
+  /// false exactly at end of stream (empty batch).
+  virtual Result<bool> NextBatch(TupleBatch* out) = 0;
 
   virtual const Schema& output_schema() const = 0;
 };
@@ -70,7 +59,7 @@ class Executor {
 /// Full scan of a heap file, with optional pushed-down predicates.
 ///
 /// Page-at-a-time: one buffer-pool pin per page serves every tuple on
-/// it (both interfaces share the page cursor below). NextBatch
+/// it, and a batch always finishes the page it pinned. The scan
 /// late-materializes: it evaluates the pushed-down predicates directly
 /// against each slot's serialized bytes (skipping columns is a few
 /// adds) and fully decodes only surviving rows, into recycled batch
@@ -98,7 +87,6 @@ class SeqScanExecutor : public Executor {
   }
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return table_->schema; }
 
@@ -116,11 +104,14 @@ class SeqScanExecutor : public Executor {
     std::atomic<bool> done{false};
   };
 
-  /// Pin the page under the cursor if not already pinned. Returns false
-  /// (without error) when the scan is past the last page.
-  Result<bool> LoadCurrentPage();
-
-  Result<bool> NextBatchParallel(TupleBatch* out);
+  /// Late materialization: evaluate the pushed-down predicates against
+  /// each serialized record of `page` and decode only the survivors,
+  /// into recycled batch slots.
+  void AppendSurvivors(const Page& page, TupleBatch* out) const;
+  /// Move the worker-decoded rows of the window's front page (which has
+  /// `nslots` slots) into `out`. Returns false, consuming the task,
+  /// when the snapshot is unusable and the page must go inline.
+  bool TakeWindowRows(uint16_t nslots, TupleBatch* out);
   /// Keep the lookahead window primed: peek + submit pages up to the
   /// window bound ahead of the emission cursor.
   void DispatchWindow();
@@ -134,11 +125,8 @@ class SeqScanExecutor : public Executor {
   CostMeter* meter_;
   std::vector<BoundSelection> predicates_;
 
-  // Shared page cursor: pin once per page, walk its slots, release.
+  // Next page to fetch.
   size_t page_index_ = 0;
-  uint16_t slot_ = 0;
-  PageGuard guard_;
-  bool page_loaded_ = false;
 
   // Parallel lookahead state (unused until EnableParallel).
   TaskScheduler* scheduler_ = nullptr;
@@ -159,7 +147,6 @@ class IndexScanExecutor : public Executor {
                     std::vector<BoundSelection> residual = {});
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return table_->schema; }
 
@@ -181,7 +168,6 @@ class FilterExecutor : public Executor {
                  std::vector<BoundSelection> predicates, CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override {
     return child_->output_schema();
@@ -202,7 +188,6 @@ class ProjectExecutor : public Executor {
                   std::vector<size_t> column_indices, CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return schema_; }
 
@@ -252,7 +237,6 @@ class HashJoinExecutor : public Executor {
   bool spilled() const { return spilled_; }
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return schema_; }
 
@@ -269,9 +253,9 @@ class HashJoinExecutor : public Executor {
     std::atomic<bool> done{false};
   };
 
-  /// Charge one probe-side row (CPU + streaming spill I/O when the
-  /// build side spilled) — identical on both interfaces.
-  void ChargeProbeRow(const Tuple& row);
+  /// Charge one probe-side row of a spilled join: CPU plus the
+  /// streaming partition write + re-read of its bytes.
+  void ChargeSpilledProbeRow(const Tuple& row);
   /// Concatenate build ++ probe into one pre-sized output row.
   static Tuple ConcatRows(const Tuple& build_row, const Tuple& probe_row);
 
@@ -295,12 +279,10 @@ class HashJoinExecutor : public Executor {
   std::vector<int32_t> heads_;
   std::vector<int32_t> next_;
   size_t bucket_mask_ = 0;
-  std::optional<Tuple> probe_tuple_;
-  int32_t match_cursor_ = -1;
   bool spilled_ = false;
   size_t probe_spill_bytes_ = 0;
 
-  // NextBatch probe cursor.
+  // Probe cursor.
   TupleBatch probe_batch_;
   size_t probe_pos_ = 0;
 
@@ -352,7 +334,6 @@ class NestedLoopJoinExecutor : public Executor {
                          CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return schema_; }
 
@@ -367,10 +348,8 @@ class NestedLoopJoinExecutor : public Executor {
   Schema schema_;
 
   std::vector<Tuple> inner_rows_;
-  std::optional<Tuple> outer_tuple_;
-  size_t inner_pos_ = 0;
 
-  // NextBatch outer cursor.
+  // Outer cursor.
   TupleBatch outer_batch_;
   size_t outer_pos_ = 0;
 };
@@ -390,7 +369,6 @@ class ColumnFilterExecutor : public Executor {
                        std::vector<Condition> conditions, CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override {
     return child_->output_schema();

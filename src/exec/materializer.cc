@@ -32,7 +32,7 @@ Result<TableInfo*> MaterializeInto(Catalog* catalog, BufferPool* pool,
   stats.Begin(info->schema);
   // Batch pull, but strictly row-at-a-time appends: the per-row
   // "materialize.append" fault check must fire in the same hit-count
-  // order as the tuple engine so chaos schedules stay bit-identical.
+  // order at every batch size so chaos schedules stay bit-identical.
   TupleBatch batch;
   for (;;) {
     auto more = source->NextBatch(&batch);

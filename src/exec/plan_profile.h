@@ -10,7 +10,7 @@
 //
 // Collection is a decorator: MakeProfiled wraps any Executor and
 // snapshots the shared CostMeter / pages-pinned counter / wall clock
-// around every Init/Next/NextBatch call. Profiling never charges the
+// around every Init/NextBatch call. Profiling never charges the
 // meter, so simulated results and the DESIGN.md §10 charge-parity
 // invariant are untouched; it is enabled only when a caller asks for it
 // (ExecuteOptions::explain_analyze).

@@ -1,11 +1,11 @@
 // Batches of tuples flowing between executors (DESIGN.md §10).
 //
 // The execution engine is batch-at-a-time: Executor::NextBatch fills a
-// TupleBatch with ~1k rows per virtual call instead of paying a virtual
-// dispatch, a Result<optional<Tuple>> round trip, and per-tuple branch
-// overhead for every row. Batching changes only real wall-clock cost —
-// simulated CostMeter charges are per tuple / per page and independent
-// of how rows are grouped in flight.
+// TupleBatch with ~1k rows per virtual call, so the virtual dispatch and
+// per-call branch overhead are paid per batch, not per row. Batching
+// changes only real wall-clock cost — simulated CostMeter charges are
+// per tuple / per page and independent of how rows are grouped in
+// flight.
 #pragma once
 
 #include <cstddef>
@@ -61,9 +61,8 @@ class TupleBatch {
     return rows_[live_++];
   }
 
-  /// Append an already-built row. Producers whose rows originate
-  /// elsewhere (the Next() adapter, operators moving child rows
-  /// through) use this; hot kernels prefer AppendSlot + in-place fill.
+  /// Append an already-built row. Operators moving child rows through
+  /// use this; hot kernels prefer AppendSlot + in-place fill.
   void PushRow(Tuple&& row) { AppendSlot() = std::move(row); }
 
   /// Empty the batch. O(1): rows beyond the live count stay behind as

@@ -1,8 +1,8 @@
-// Batch-vs-tuple differential: the batch engine must be observationally
-// identical to the tuple-at-a-time engine — same tuples in the same
-// order AND identical simulated CostMeter charges (DESIGN.md §10) —
-// across randomized tables/predicates/joins, edge-case shapes, and
-// deterministic fault schedules.
+// Batch-size differential: the engine must be observationally identical
+// at every batch size — same tuples in the same order AND identical
+// simulated CostMeter charges (DESIGN.md §10) — across randomized
+// tables/predicates/joins, edge-case shapes, and deterministic fault
+// schedules. The reference run drives every operator one row per batch.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -36,31 +36,6 @@ struct RunOutcome {
   uint64_t blocks_written = 0;
 };
 
-/// Drive a fresh executor tree tuple-at-a-time from a cold buffer pool.
-RunOutcome RunTuplePath(Database* db, const ExecFactory& factory) {
-  RunOutcome out;
-  EXPECT_TRUE(db->ColdStart().ok());
-  const CostMeter& meter = db->meter();
-  uint64_t r0 = meter.blocks_read();
-  uint64_t w0 = meter.blocks_written();
-  uint64_t t0 = meter.tuples_processed();
-  std::unique_ptr<Executor> exec = factory();
-  out.status = exec->Init();
-  while (out.status.ok()) {
-    auto row = exec->Next();
-    if (!row.ok()) {
-      out.status = row.status();
-      break;
-    }
-    if (!row->has_value()) break;
-    out.rows.push_back(std::move(**row));
-  }
-  out.blocks_read = meter.blocks_read() - r0;
-  out.blocks_written = meter.blocks_written() - w0;
-  out.tuples = meter.tuples_processed() - t0;
-  return out;
-}
-
 /// Drive a fresh executor tree batch-at-a-time from a cold buffer pool.
 RunOutcome RunBatchPath(Database* db, const ExecFactory& factory,
                         size_t batch_size) {
@@ -88,31 +63,30 @@ RunOutcome RunBatchPath(Database* db, const ExecFactory& factory,
   return out;
 }
 
-void ExpectIdentical(const RunOutcome& tuple_run,
+void ExpectIdentical(const RunOutcome& reference,
                      const RunOutcome& batch_run) {
-  ASSERT_EQ(tuple_run.status.code(), batch_run.status.code())
-      << "tuple: " << tuple_run.status.ToString()
+  ASSERT_EQ(reference.status.code(), batch_run.status.code())
+      << "reference: " << reference.status.ToString()
       << " batch: " << batch_run.status.ToString();
-  ASSERT_EQ(tuple_run.rows.size(), batch_run.rows.size());
-  for (size_t i = 0; i < tuple_run.rows.size(); i++) {
-    ASSERT_EQ(tuple_run.rows[i], batch_run.rows[i]) << "row " << i;
+  ASSERT_EQ(reference.rows.size(), batch_run.rows.size());
+  for (size_t i = 0; i < reference.rows.size(); i++) {
+    ASSERT_EQ(reference.rows[i], batch_run.rows[i]) << "row " << i;
   }
-  EXPECT_EQ(tuple_run.tuples, batch_run.tuples) << "CPU charge diverged";
-  EXPECT_EQ(tuple_run.blocks_read, batch_run.blocks_read)
+  EXPECT_EQ(reference.tuples, batch_run.tuples) << "CPU charge diverged";
+  EXPECT_EQ(reference.blocks_read, batch_run.blocks_read)
       << "read charge diverged";
-  EXPECT_EQ(tuple_run.blocks_written, batch_run.blocks_written)
+  EXPECT_EQ(reference.blocks_written, batch_run.blocks_written)
       << "write charge diverged";
 }
 
-/// Run the differential across a spread of batch sizes, including the
-/// degenerate 1-row batch and sizes around page/row-count boundaries.
+/// Run the differential: the 1-row-batch reference against a spread of
+/// batch sizes around page/row-count boundaries.
 void Differential(Database* db, const ExecFactory& factory) {
-  RunOutcome tuple_run = RunTuplePath(db, factory);
-  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256},
-                            kDefaultExecBatchSize}) {
+  RunOutcome reference = RunBatchPath(db, factory, 1);
+  for (size_t batch_size : {size_t{7}, size_t{256}, kDefaultExecBatchSize}) {
     SCOPED_TRACE("batch_size " + std::to_string(batch_size));
     RunOutcome batch_run = RunBatchPath(db, factory, batch_size);
-    ExpectIdentical(tuple_run, batch_run);
+    ExpectIdentical(reference, batch_run);
   }
 }
 
@@ -183,11 +157,11 @@ TEST(ExecBatchDifferentialTest, ExactBatchBoundary) {
     return std::make_unique<SeqScanExecutor>(r, &db->buffer_pool(),
                                              &db->meter());
   };
-  RunOutcome tuple_run = RunTuplePath(db.get(), factory);
-  ASSERT_EQ(tuple_run.rows.size(), 512u);
+  RunOutcome reference = RunBatchPath(db.get(), factory, 1);
+  ASSERT_EQ(reference.rows.size(), 512u);
   for (size_t batch_size : {size_t{256}, size_t{512}}) {
     SCOPED_TRACE("batch_size " + std::to_string(batch_size));
-    ExpectIdentical(tuple_run, RunBatchPath(db.get(), factory, batch_size));
+    ExpectIdentical(reference, RunBatchPath(db.get(), factory, batch_size));
   }
 }
 
@@ -235,18 +209,19 @@ TEST(ExecBatchDifferentialTest, SortAggregateAndLimitDecorations) {
   }
   {
     SCOPED_TRACE("limit");
-    // LIMIT stays tuple-driven by design: both paths must charge the
-    // child for exactly `limit` rows.
+    // LIMIT pulls its child one row per batch whatever its own batch
+    // size, so every run charges the child identically.
     Differential(db.get(), [&] {
       return std::make_unique<LimitExecutor>(spj(), 37);
     });
   }
 }
 
-/// Under a deterministic fault schedule, both paths must fail (or not)
-/// with the same status, the same rows-before-failure drained total,
-/// and the same charges — the bit-identity guarantee chaos schedules
-/// rely on. Seeded from SQP_CHAOS_SEED like the chaos sweep.
+/// Under a deterministic fault schedule, batch sizes 1 and 1024 must
+/// fail (or not) with the same status, the same rows-before-failure
+/// drained total, and the same charges — the bit-identity guarantee
+/// chaos schedules rely on. Seeded from SQP_CHAOS_SEED like the chaos
+/// sweep.
 TEST(ExecBatchDifferentialTest, FaultScheduleBitIdentical) {
   uint64_t base_seed = 1;
   if (const char* env = std::getenv("SQP_CHAOS_SEED")) {
@@ -269,14 +244,14 @@ TEST(ExecBatchDifferentialTest, FaultScheduleBitIdentical) {
 
     FaultInjector::Global().Reset();
     FaultInjector::Global().Arm("disk.read", FaultSpec::EveryNth(nth));
-    RunOutcome tuple_run = RunTuplePath(db.get(), factory);
+    RunOutcome reference = RunBatchPath(db.get(), factory, 1);
 
     FaultInjector::Global().Reset();
     FaultInjector::Global().Arm("disk.read", FaultSpec::EveryNth(nth));
     RunOutcome batch_run = RunBatchPath(db.get(), factory, 1024);
 
     FaultInjector::Global().Reset();
-    ExpectIdentical(tuple_run, batch_run);
+    ExpectIdentical(reference, batch_run);
   }
 }
 

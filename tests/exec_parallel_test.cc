@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,11 +41,16 @@ struct RunOutcome {
   std::string profile_text;  // EXPLAIN ANALYZE rendering (when asked)
 };
 
-/// Build the canonical two-table database at `exec_threads` and run
-/// `graph` once from a cold cache, capturing rows + meter deltas.
-RunOutcome RunAtThreads(size_t exec_threads, const QueryGraph& graph,
-                        size_t rows_r, size_t rows_s, uint64_t seed,
-                        size_t pool_pages, bool explain_analyze = false) {
+/// Runs one query against a database (Execute or ExecuteSql).
+using QueryRunner =
+    std::function<Result<QueryResult>(Database*, const ExecuteOptions&)>;
+
+/// Build the canonical two-table database at `exec_threads` and run the
+/// query once from a cold cache, capturing rows + meter deltas.
+RunOutcome RunQueryAtThreads(size_t exec_threads, const QueryRunner& run,
+                             size_t rows_r, size_t rows_s, uint64_t seed,
+                             size_t pool_pages,
+                             bool explain_analyze = false) {
   std::unique_ptr<Database> db(testutil::MakeTwoTableDb(
       rows_r, rows_s, seed, pool_pages, exec_threads));
   EXPECT_TRUE(db->ColdStart().ok());
@@ -56,7 +62,7 @@ RunOutcome RunAtThreads(size_t exec_threads, const QueryGraph& graph,
   ExecuteOptions options;
   options.keep_rows = true;
   options.explain_analyze = explain_analyze;
-  auto result = db->Execute(graph, options);
+  auto result = run(db.get(), options);
 
   RunOutcome out;
   out.code = result.status().code();
@@ -73,6 +79,17 @@ RunOutcome RunAtThreads(size_t exec_threads, const QueryGraph& graph,
     }
   }
   return out;
+}
+
+RunOutcome RunAtThreads(size_t exec_threads, const QueryGraph& graph,
+                        size_t rows_r, size_t rows_s, uint64_t seed,
+                        size_t pool_pages, bool explain_analyze = false) {
+  return RunQueryAtThreads(
+      exec_threads,
+      [&graph](Database* db, const ExecuteOptions& options) {
+        return db->Execute(graph, options);
+      },
+      rows_r, rows_s, seed, pool_pages, explain_analyze);
 }
 
 void ExpectIdentical(const RunOutcome& base, const RunOutcome& other,
@@ -132,6 +149,41 @@ TEST(ExecParallelDifferentialTest, RandomizedScansAndJoins) {
       ExpectIdentical(
           base, RunAtThreads(threads, graph, rows_r, rows_s, seed, 256),
           threads);
+    }
+  }
+}
+
+/// LIMIT over a join (DESIGN.md §10): LIMIT pulls its child one row per
+/// batch, and those pulls reach the parallel scan and the fused probe.
+/// The rows kept and every charge of the partial child drain must match
+/// the sequential engine, with and without EXPLAIN ANALYZE wrappers.
+TEST(ExecParallelDifferentialTest, LimitOverJoinIdentical) {
+  const struct {
+    const char* sql;
+    uint64_t rows;
+    bool explain_analyze;
+  } cases[] = {
+      {"SELECT * FROM r, s WHERE r_id = s_rid LIMIT 37", 37, false},
+      {"SELECT * FROM r, s WHERE r_id = s_rid LIMIT 37", 37, true},
+      {"SELECT r_s, s_c FROM r, s WHERE r_id = s_rid AND s_c < 20 "
+       "LIMIT 700",
+       700, false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.sql);
+    QueryRunner run = [&c](Database* db, const ExecuteOptions& options) {
+      return db->ExecuteSql(c.sql, options);
+    };
+    RunOutcome base =
+        RunQueryAtThreads(1, run, 1500, 4500, 29, 256, c.explain_analyze);
+    ASSERT_EQ(base.code, StatusCode::kOk) << base.status_message;
+    ASSERT_EQ(base.row_count, c.rows);
+    for (size_t threads : kThreadCounts) {
+      if (threads == 1) continue;
+      ExpectIdentical(base,
+                      RunQueryAtThreads(threads, run, 1500, 4500, 29, 256,
+                                        c.explain_analyze),
+                      threads);
     }
   }
 }

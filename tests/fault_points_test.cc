@@ -100,5 +100,26 @@ TEST(FaultPointDriftTest, RegisteredPointsMatchTheDocCatalogue) {
   EXPECT_GE(documented.size(), 8u);
 }
 
+TEST(FaultInjectorTest, ArmedCodeFiresAsItself) {
+  // Every non-OK code a fault can be armed with must come back
+  // unchanged; a code the injector does not map would surface as
+  // kInternal and change how callers classify the failure.
+  const StatusCode codes[] = {
+      StatusCode::kNotFound,          StatusCode::kInvalidArgument,
+      StatusCode::kAlreadyExists,     StatusCode::kNotSupported,
+      StatusCode::kInternal,          StatusCode::kCancelled,
+      StatusCode::kResourceExhausted, StatusCode::kDataLoss,
+      StatusCode::kFailedPrecondition,
+  };
+  for (StatusCode code : codes) {
+    SCOPED_TRACE(static_cast<int>(code));
+    FaultInjector injector;
+    FaultSpec spec = FaultSpec::OneShot(1, code);
+    spec.only_in_region = false;
+    injector.Arm("test.point", spec);
+    EXPECT_EQ(injector.Check("test.point").code(), code);
+  }
+}
+
 }  // namespace
 }  // namespace sqp

@@ -304,10 +304,13 @@ TEST(HeapFileTest, AppendScanRoundTrip) {
   auto iter = heap.Scan();
   int64_t expect = 0;
   for (;;) {
-    auto row = iter.Next();
-    ASSERT_TRUE(row.ok());
-    if (!row->has_value()) break;
-    EXPECT_EQ((**row)[0].AsInt64(), expect++);
+    std::vector<Tuple> page_rows;
+    auto more = iter.NextPage(&page_rows);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    for (const Tuple& row : page_rows) {
+      EXPECT_EQ(row[0].AsInt64(), expect++);
+    }
   }
   EXPECT_EQ(expect, 1000);
 }
@@ -349,9 +352,11 @@ TEST(HeapFileTest, ScanOfEmptyFile) {
   BufferPool pool(&disk, 4);
   HeapFile heap(&pool);
   auto iter = heap.Scan();
-  auto row = iter.Next();
-  ASSERT_TRUE(row.ok());
-  EXPECT_FALSE(row->has_value());
+  std::vector<Tuple> rows;
+  auto more = iter.NextPage(&rows);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(*more);
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST(HeapFileTest, ScanChargesIoOnColdPool) {
@@ -367,11 +372,13 @@ TEST(HeapFileTest, ScanChargesIoOnColdPool) {
   pool.Reset();
   uint64_t reads_before = meter.blocks_read();
   auto iter = heap.Scan();
+  std::vector<Tuple> rows;
   for (;;) {
-    auto row = iter.Next();
-    ASSERT_TRUE(row.ok());
-    if (!row->has_value()) break;
+    auto more = iter.NextPage(&rows);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
   }
+  EXPECT_EQ(rows.size(), 5000u);
   EXPECT_EQ(meter.blocks_read() - reads_before, heap.page_count());
 }
 
