@@ -22,18 +22,18 @@ int main() {
   }
   std::vector<Trace> traces = BuildTraces(cfg);
 
-  MultiUserReplayOptions normal_opts;
+  ReplayOptions normal_opts;
   normal_opts.speculation = false;
-  auto normal = MultiUserReplayer(db->get(), normal_opts).Replay(traces);
+  auto normal = TraceReplayer(db->get(), normal_opts).Replay(traces);
   if (!normal.ok()) {
     std::printf("replay failed: %s\n", normal.status().ToString().c_str());
     return 1;
   }
 
-  MultiUserReplayOptions spec_opts;
+  ReplayOptions spec_opts;
   spec_opts.speculation = true;
   spec_opts.engine.speculator.space.join_materializations = false;  // §6.3
-  auto spec = MultiUserReplayer(db->get(), spec_opts).Replay(traces);
+  auto spec = TraceReplayer(db->get(), spec_opts).Replay(traces);
   if (!spec.ok()) {
     std::printf("replay failed: %s\n", spec.status().ToString().c_str());
     return 1;

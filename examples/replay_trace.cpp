@@ -137,11 +137,12 @@ int main(int argc, char** argv) {
     ReplayOptions spec_opts;
     spec_opts.speculation = true;
     spec_opts.explain = print_explain;
-    if (want_trace) {
-      spec_opts.tracer = &tracer;
-      spec_opts.trace_lane = "user" + std::to_string(trace.user_id);
+    if (want_trace) spec_opts.tracer = &tracer;
+    if (want_series || !trace_json.empty()) {
+      spec_opts.timeline = &timeline;
+      spec_opts.timeline_epoch =
+          "user" + std::to_string(trace.user_id) + "/spec";
     }
-    if (want_series || !trace_json.empty()) spec_opts.timeline = &timeline;
     auto spec = TraceReplayer(db->get(), spec_opts).Replay(trace);
     if (!spec.ok()) {
       std::printf("replay failed: %s\n", spec.status().ToString().c_str());

@@ -37,10 +37,15 @@ import sys
 
 # Tracked + untracked-but-not-ignored markdown: generated/output trees
 # (build/, bench_json/, ...) are gitignored and never gate the docs.
-files = subprocess.run(
-    ["git", "ls-files", "-c", "-o", "--exclude-standard", "*.md"],
-    capture_output=True, text=True, check=True,
-).stdout.split()
+# A tracked file deleted in the working tree is still listed; skip it
+# here, so a link to it is reported as broken below.
+files = [
+    path for path in subprocess.run(
+        ["git", "ls-files", "-c", "-o", "--exclude-standard", "*.md"],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    if os.path.exists(path)
+]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 broken = []

@@ -1,7 +1,5 @@
 #include "harness/experiment.h"
 
-#include <set>
-
 #include "common/metrics_timeline.h"
 
 namespace sqp {
@@ -43,27 +41,19 @@ Result<SingleUserResult> RunSingleUserExperiment(
 
   SingleUserResult result;
   std::vector<OverlapStats> per_replay_overlap;
-  for (size_t t = 0; t < traces.size(); t++) {
-    const Trace& trace = traces[t];
+  for (const Trace& trace : traces) {
     ReplayOptions normal_opts;
     normal_opts.speculation = false;
-    TraceReplayer normal_replayer(db->get(), normal_opts);
-    auto normal = normal_replayer.Replay(trace);
+    auto normal = TraceReplayer(db->get(), normal_opts).Replay(trace);
     if (!normal.ok()) return normal.status();
 
-    // Leave-one-out pretraining: the Learner has observed the *other*
-    // users before this session starts.
-    std::vector<Trace> history;
-    history.reserve(traces.size() - 1);
-    for (size_t o = 0; o < traces.size(); o++) {
-      if (o != t) history.push_back(traces[o]);
-    }
+    // Leave-one-out pretraining: the replayer skips this user's own
+    // trace, so the Learner has observed only the *other* users.
     ReplayOptions spec_opts;
     spec_opts.speculation = true;
     spec_opts.engine = cfg.engine;
-    spec_opts.pretrain_traces = &history;
-    TraceReplayer spec_replayer(db->get(), spec_opts);
-    auto spec = spec_replayer.Replay(trace);
+    spec_opts.pretrain_traces = &traces;
+    auto spec = TraceReplayer(db->get(), spec_opts).Replay(trace);
     if (!spec.ok()) return spec.status();
 
     result.normal.insert(result.normal.end(), normal->queries.begin(),
@@ -226,12 +216,12 @@ Result<MultiUserResult> RunMultiUserExperiment(const ExperimentConfig& cfg,
     std::vector<Trace> group(traces.begin() + start,
                              traces.begin() + start + group_size);
 
-    MultiUserReplayOptions normal_opts;
+    ReplayOptions normal_opts;
     normal_opts.speculation = false;
-    auto normal = MultiUserReplayer(db->get(), normal_opts).Replay(group);
+    auto normal = TraceReplayer(db->get(), normal_opts).Replay(group);
     if (!normal.ok()) return normal.status();
 
-    MultiUserReplayOptions spec_opts;
+    ReplayOptions spec_opts;
     spec_opts.speculation = true;
     spec_opts.engine = cfg.engine;
     spec_opts.tracer = cfg.tracer;
@@ -240,7 +230,7 @@ Result<MultiUserResult> RunMultiUserExperiment(const ExperimentConfig& cfg,
     // scale + group label keeps multi-scale dumps distinguishable.
     spec_opts.timeline_epoch = std::string(tpch::ScaleName(cfg.scale)) +
                                "/g" + std::to_string(start / group_size);
-    auto spec = MultiUserReplayer(db->get(), spec_opts).Replay(group);
+    auto spec = TraceReplayer(db->get(), spec_opts).Replay(group);
     if (!spec.ok()) return spec.status();
 
     auto flat_normal = normal->Flatten();

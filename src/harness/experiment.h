@@ -10,7 +10,6 @@
 
 #include "db/database.h"
 #include "harness/metrics.h"
-#include "harness/multi_user_replayer.h"
 #include "harness/replayer.h"
 #include "trace/trace_generator.h"
 #include "workload/datagen.h"

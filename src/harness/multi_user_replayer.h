@@ -1,68 +1,13 @@
-// Multi-user replayer (paper §6.3): several traces replayed
-// simultaneously against one database and one processor-sharing server,
-// so queries and speculative manipulations of different users slow each
-// other down. Each user gets an independent speculation engine (the
-// paper's cost model deliberately ignores other users).
+// Older names for the multi-user replay: a group of traces passed to
+// TraceReplayer::Replay (harness/replayer.h), which replays one session
+// or several on the same event loop.
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "db/database.h"
-#include "harness/metrics.h"
-#include "sim/sim_server.h"
-#include "speculation/engine.h"
-#include "trace/trace.h"
+#include "harness/replayer.h"
 
 namespace sqp {
 
-struct MultiUserReplayOptions {
-  bool speculation = true;
-  /// Per-user engines clone these options (with distinct table
-  /// prefixes). The paper's multi-user runs restrict the manipulation
-  /// space to selection materializations only.
-  SpeculationEngineOptions engine;
-  ViewMode normal_view_mode = ViewMode::kCostBased;
-  bool cold_start = true;
-  /// Optional span tracer (DESIGN.md §9): each user's session, queries,
-  /// and manipulations land on a "user<N>" lane, so the exported Chrome
-  /// trace shows the users' overlap on the shared server.
-  Tracer* tracer = nullptr;
-  /// Run every final query with EXPLAIN ANALYZE (DESIGN.md §11); also
-  /// implied by an attached tracer. Never affects simulated time.
-  bool explain = false;
-  /// Optional telemetry sampler (DESIGN.md §16), driven from the shared
-  /// server's clock-advance points. The whole multi-user run is one
-  /// epoch (one shared simulated clock). Null = off.
-  MetricsTimeline* timeline = nullptr;
-  /// Epoch label for this run's ticks and counter tracks ("" = plain
-  /// track names, the single-run case).
-  std::string timeline_epoch;
-};
-
-struct MultiUserReplayResult {
-  /// Per-user query records, index-aligned with the input traces.
-  std::vector<std::vector<QueryRecord>> per_user;
-  std::vector<EngineStats> engine_stats;
-  double session_end_time = 0;
-  /// Per-user overlap stories, index-aligned with engine_stats
-  /// (DESIGN.md §9).
-  std::vector<OverlapStats> overlap;
-
-  /// All query records flattened (order: user-major).
-  std::vector<QueryRecord> Flatten() const;
-};
-
-class MultiUserReplayer {
- public:
-  MultiUserReplayer(Database* db, MultiUserReplayOptions options)
-      : db_(db), options_(std::move(options)) {}
-
-  Result<MultiUserReplayResult> Replay(const std::vector<Trace>& traces);
-
- private:
-  Database* db_;
-  MultiUserReplayOptions options_;
-};
+using MultiUserReplayOptions = ReplayOptions;
+using MultiUserReplayer = TraceReplayer;
 
 }  // namespace sqp

@@ -4,7 +4,7 @@
 
 #include <memory>
 
-#include "harness/multi_user_replayer.h"
+#include "harness/replayer.h"
 #include "test_util.h"
 #include "trace/trace_generator.h"
 
@@ -73,10 +73,10 @@ class MultiUserInvariants : public ::testing::Test {
 
 TEST_F(MultiUserInvariants, DeterministicAcrossRuns) {
   auto group = SmallGroup(3, 5);
-  MultiUserReplayOptions options;
+  ReplayOptions options;
   options.speculation = true;
-  auto a = MultiUserReplayer(db_.get(), options).Replay(group);
-  auto b = MultiUserReplayer(db_.get(), options).Replay(group);
+  auto a = TraceReplayer(db_.get(), options).Replay(group);
+  auto b = TraceReplayer(db_.get(), options).Replay(group);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->per_user.size(), b->per_user.size());
@@ -92,9 +92,9 @@ TEST_F(MultiUserInvariants, DeterministicAcrossRuns) {
 
 TEST_F(MultiUserInvariants, EveryQueryExecutedOncePerUser) {
   auto group = SmallGroup(3, 7);
-  MultiUserReplayOptions options;
+  ReplayOptions options;
   options.speculation = false;
-  auto result = MultiUserReplayer(db_.get(), options).Replay(group);
+  auto result = TraceReplayer(db_.get(), options).Replay(group);
   ASSERT_TRUE(result.ok());
   for (size_t u = 0; u < group.size(); u++) {
     EXPECT_EQ(result->per_user[u].size(), group[u].QueryCount());
@@ -103,9 +103,9 @@ TEST_F(MultiUserInvariants, EveryQueryExecutedOncePerUser) {
 
 TEST_F(MultiUserInvariants, PerUserTimesAreCausal) {
   auto group = SmallGroup(3, 9);
-  MultiUserReplayOptions options;
+  ReplayOptions options;
   options.speculation = true;
-  auto result = MultiUserReplayer(db_.get(), options).Replay(group);
+  auto result = TraceReplayer(db_.get(), options).Replay(group);
   ASSERT_TRUE(result.ok());
   for (const auto& user : result->per_user) {
     double prev_go = -1;
@@ -136,9 +136,9 @@ TEST_F(MultiUserInvariants, SpeculativeViewsSharedAcrossUsers) {
     trace.events.push_back(go);
     group.push_back(std::move(trace));
   }
-  MultiUserReplayOptions options;
+  ReplayOptions options;
   options.speculation = true;
-  auto result = MultiUserReplayer(db_.get(), options).Replay(group);
+  auto result = TraceReplayer(db_.get(), options).Replay(group);
   ASSERT_TRUE(result.ok());
   size_t rewritten_users = 0;
   for (const auto& user : result->per_user) {

@@ -373,7 +373,6 @@ TEST_F(ReplayTracingTest, ReplayEmitsSessionQueryAndManipulationSpans) {
   ReplayOptions opts;
   opts.speculation = true;
   opts.tracer = &tracer;
-  opts.trace_lane = "user3";
   auto result = TraceReplayer(db_.get(), opts).Replay(ThinkyTrace());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_GT(result->engine_stats.manipulations_completed, 0u);

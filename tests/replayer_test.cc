@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "harness/multi_user_replayer.h"
 #include "test_util.h"
 
 namespace sqp {
@@ -128,7 +127,152 @@ TEST_F(ReplayerTest, ExecutionDelaysShiftLaterEvents) {
             70.0 + result->queries[0].seconds - 1e-9);
 }
 
+/// Pins Replay(trace) to the one-session group Replay({trace}): the
+/// same loop must produce the same bits either way.
+void ExpectBitIdentical(const ReplayResult& single,
+                        const GroupReplayResult& group) {
+  ASSERT_EQ(group.per_user.size(), 1u);
+  const auto& queries = group.per_user[0];
+  ASSERT_EQ(single.queries.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); i++) {
+    EXPECT_EQ(single.queries[i].seconds, queries[i].seconds) << i;
+    EXPECT_EQ(single.queries[i].go_sim_time, queries[i].go_sim_time) << i;
+    EXPECT_EQ(single.queries[i].row_count, queries[i].row_count) << i;
+    EXPECT_EQ(single.queries[i].views_used.size(),
+              queries[i].views_used.size())
+        << i;
+  }
+  EXPECT_EQ(single.session_end_time, group.session_end_time);
+
+  const OverlapStats& a = single.overlap;
+  const OverlapStats& b = group.overlap[0];
+  EXPECT_EQ(a.executed_seconds, b.executed_seconds);
+  EXPECT_EQ(a.hidden_seconds, b.hidden_seconds);
+  EXPECT_EQ(a.wasted_seconds, b.wasted_seconds);
+  EXPECT_EQ(a.think_seconds, b.think_seconds);
+  EXPECT_EQ(a.overlap_fraction, b.overlap_fraction);
+  EXPECT_EQ(a.wasted_ratio, b.wasted_ratio);
+  EXPECT_EQ(a.think_utilization, b.think_utilization);
+
+  const EngineStats& x = single.engine_stats;
+  const EngineStats& y = group.engine_stats[0];
+  EXPECT_EQ(x.manipulations_issued, y.manipulations_issued);
+  EXPECT_EQ(x.manipulations_completed, y.manipulations_completed);
+  EXPECT_EQ(x.cancelled_by_edit, y.cancelled_by_edit);
+  EXPECT_EQ(x.cancelled_at_go, y.cancelled_at_go);
+  EXPECT_EQ(x.abandoned_at_completion, y.abandoned_at_completion);
+  EXPECT_EQ(x.predictions_scored, y.predictions_scored);
+  EXPECT_EQ(x.brier_sum, y.brier_sum);
+  EXPECT_EQ(x.total_manipulation_work, y.total_manipulation_work);
+  EXPECT_EQ(x.wasted_manipulation_work, y.wasted_manipulation_work);
+  EXPECT_EQ(x.completed_durations, y.completed_durations);
+  EXPECT_EQ(single.decisions.size(), group.decisions[0].size());
+  EXPECT_EQ(single.calibration.scored, group.calibration[0].scored);
+  EXPECT_EQ(single.calibration.brier_sum, group.calibration[0].brier_sum);
+  EXPECT_EQ(single.calibration.bucket_counts,
+            group.calibration[0].bucket_counts);
+}
+
+TEST_F(ReplayerTest, SingleTraceEqualsOneSessionGroup) {
+  // Simulated durations are differences of the cumulative CostMeter, so
+  // each replay gets its own freshly built database.
+  auto fresh_db = [] {
+    return std::unique_ptr<Database>(testutil::MakeTwoTableDb(
+        3000, 9000, /*seed=*/5, /*pool_pages=*/64));
+  };
+  Trace trace = ThinkyTrace();
+  trace.user_id = 7;
+  // Pretraining history: other users' sessions plus one of this user's,
+  // which leave-one-out skips.
+  std::vector<Trace> history;
+  for (uint64_t id : {1, 2, 7}) {
+    Trace other = ThinkyTrace();
+    other.user_id = id;
+    history.push_back(std::move(other));
+  }
+
+  struct Case {
+    const char* name;
+    bool speculation;
+    const std::vector<Trace>* pretrain;
+  };
+  for (const Case& c : {Case{"speculative", true, nullptr},
+                        Case{"normal", false, nullptr},
+                        Case{"pretrained", true, &history}}) {
+    SCOPED_TRACE(c.name);
+    ReplayOptions options;
+    options.speculation = c.speculation;
+    options.pretrain_traces = c.pretrain;
+    auto db_single = fresh_db();
+    auto single = TraceReplayer(db_single.get(), options).Replay(trace);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    auto db_group = fresh_db();
+    auto group = TraceReplayer(db_group.get(), options)
+                     .Replay(std::vector<Trace>{trace});
+    ASSERT_TRUE(group.ok()) << group.status().ToString();
+    ExpectBitIdentical(*single, *group);
+    if (c.speculation) {
+      EXPECT_GT(single->engine_stats.manipulations_issued, 0u);
+      EXPECT_GT(single->engine_stats.predictions_scored, 0u);
+    }
+  }
+}
+
+TEST_F(ReplayerTest, WaitPolicyDelaysGoInOneSessionReplay) {
+  // Time the selection's materialization with a GO long after it, then
+  // replay with the GO just before it completes: under the §7 wait
+  // policy the query waits for the view, and the wait counts as part of
+  // the user-perceived response time.
+  auto sel = Sel("r", "r_a", CompareOp::kLt, Value(int64_t{5}));
+  Trace trace;
+  trace.events = {SelAdd(1, sel), Go(100)};
+  auto timed = TraceReplayer(db_.get(), ReplayOptions{}).Replay(trace);
+  ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+  ASSERT_EQ(timed->engine_stats.completed_durations.size(), 1u);
+  double materialize = timed->engine_stats.completed_durations[0];
+
+  trace.events[1].timestamp = 1 + materialize - 0.05;
+  ReplayOptions options;
+  options.engine.go_policy = GoPolicy::kWaitIfWorthwhile;
+  auto result = TraceReplayer(db_.get(), options).Replay(trace);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->engine_stats.waits_at_go, 1u);
+  EXPECT_EQ(result->engine_stats.manipulations_completed, 1u);
+  ASSERT_EQ(result->queries.size(), 1u);
+  EXPECT_EQ(result->queries[0].views_used.size(), 1u);
+  EXPECT_GT(result->queries[0].seconds,
+            result->engine_stats.total_wait_seconds);
+}
+
 // ------------------------------------------------------------ multi-user
+
+TEST_F(ReplayerTest, MultiSessionReplayRejectsWaitPolicy) {
+  // Waiting at GO would move the shared clock past the other session's
+  // events; the replay refuses instead of silently changing the policy.
+  std::vector<Trace> group;
+  for (int u = 0; u < 2; u++) {
+    Trace t = ThinkyTrace();
+    t.user_id = u;
+    group.push_back(std::move(t));
+  }
+  ReplayOptions options;
+  options.engine.go_policy = GoPolicy::kWaitIfWorthwhile;
+  auto result = TraceReplayer(db_.get(), options).Replay(group);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_->views().size(), 0u);
+}
+
+TEST_F(ReplayerTest, MultiSessionReplayRejectsRepeatedUserIds) {
+  // A session's lane, attribution row and table prefix derive from its
+  // user id, so two sessions of one user would share them.
+  ReplayOptions options;
+  auto result = TraceReplayer(db_.get(), options)
+                    .Replay(std::vector<Trace>{ThinkyTrace(), ThinkyTrace()});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 
 TEST_F(ReplayerTest, MultiUserContentionStretchesQueries) {
   // Cache-neutral setup: a pool big enough for the whole dataset, a
@@ -151,10 +295,10 @@ TEST_F(ReplayerTest, MultiUserContentionStretchesQueries) {
   ASSERT_TRUE(single.ok());
   double single_total = single->total_exec_seconds;
 
-  MultiUserReplayOptions options;
+  ReplayOptions options;
   options.speculation = false;
   options.cold_start = false;
-  auto multi = MultiUserReplayer(db.get(), options).Replay(group);
+  auto multi = TraceReplayer(db.get(), options).Replay(group);
   ASSERT_TRUE(multi.ok());
   ASSERT_EQ(multi->per_user.size(), 3u);
 
@@ -175,10 +319,10 @@ TEST_F(ReplayerTest, MultiUserSpeculativeRunsComplete) {
     t.user_id = u;
     group.push_back(std::move(t));
   }
-  MultiUserReplayOptions options;
+  ReplayOptions options;
   options.speculation = true;
   options.engine.speculator.space.join_materializations = false;  // §6.3
-  auto result = MultiUserReplayer(db_.get(), options).Replay(group);
+  auto result = TraceReplayer(db_.get(), options).Replay(group);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->engine_stats.size(), 2u);
   EXPECT_EQ(db_->views().size(), 0u);  // cleaned up
@@ -187,8 +331,8 @@ TEST_F(ReplayerTest, MultiUserSpeculativeRunsComplete) {
 }
 
 TEST_F(ReplayerTest, MultiUserHandlesEmptyGroup) {
-  MultiUserReplayOptions options;
-  auto result = MultiUserReplayer(db_.get(), options).Replay({});
+  ReplayOptions options;
+  auto result = TraceReplayer(db_.get(), options).Replay(std::vector<Trace>{});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->per_user.empty());
 }
