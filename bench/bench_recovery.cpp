@@ -79,11 +79,7 @@ std::unique_ptr<Database> BuildShardedDb() {
 }
 
 QueryGraph JoinQuery() {
-  JoinPred join;
-  join.left_table = "r";
-  join.left_column = "r_id";
-  join.right_table = "s";
-  join.right_column = "s_rid";
+  JoinPred join{"r", "r_id", "s", "s_rid"};
   join.Canonicalize();
   SelectionPred sel;
   sel.table = "r";

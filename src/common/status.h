@@ -8,9 +8,9 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 
 namespace sqp {
 
@@ -95,12 +95,12 @@ class Status {
 template <typename T>
 class Result {
  public:
-  Result(T value) : v_(std::move(value)) {}          // NOLINT implicit
-  Result(Status status) : v_(std::move(status)) {    // NOLINT implicit
+  Result(T value) : value_(std::move(value)) {}         // NOLINT implicit
+  Result(Status status) : status_(std::move(status)) {  // NOLINT implicit
     // A Result built from an OK status carries neither a value nor an
-    // error; continuing would dereference an empty variant later, far
+    // error; continuing would dereference an empty value later, far
     // from the bug. Fail here with a readable message in every build.
-    if (std::get<Status>(v_).ok()) {
+    if (status_.ok()) {
       std::fprintf(stderr,
                    "FATAL: Result<T> constructed from an OK Status; "
                    "return the value instead\n");
@@ -108,18 +108,15 @@ class Result {
     }
   }
 
-  bool ok() const { return std::holds_alternative<T>(v_); }
-  const Status& status() const {
-    static const Status kOk = Status::OK();
-    return ok() ? kOk : std::get<Status>(v_);
-  }
+  bool ok() const { return value_.has_value(); }
+  const Status& status() const { return status_; }
   T& value() {
     assert(ok());
-    return std::get<T>(v_);
+    return *value_;
   }
   const T& value() const {
     assert(ok());
-    return std::get<T>(v_);
+    return *value_;
   }
   T& operator*() { return value(); }
   const T& operator*() const { return value(); }
@@ -127,7 +124,10 @@ class Result {
   const T* operator->() const { return &value(); }
 
  private:
-  std::variant<T, Status> v_;
+  // Always constructed (OK when a value is held), so destroying a
+  // Result never has to ask which member is live.
+  Status status_;
+  std::optional<T> value_;
 };
 
 /// Propagate a non-OK Status from the current function.

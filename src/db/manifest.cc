@@ -93,17 +93,6 @@ ManifestRecord ManifestRecord::Repair(std::string note) {
   return r;
 }
 
-void Manifest::Append(ManifestRecord record) {
-  staged_.push_back(std::move(record));
-}
-
-void Manifest::Commit() {
-  records_.insert(records_.end(),
-                  std::make_move_iterator(staged_.begin()),
-                  std::make_move_iterator(staged_.end()));
-  staged_.clear();
-}
-
 namespace {
 void AddOnce(std::vector<std::string>& columns, const std::string& column) {
   if (std::find(columns.begin(), columns.end(), column) == columns.end()) {

@@ -10,9 +10,11 @@
 // (write-ahead discipline), so a committed record always describes
 // pages whose bytes — and checksums — are already on disk.
 //
-// Records are staged with Append() and become durable atomically with
-// Commit(): a crash discards the staged tail but never splits a commit
-// group. Database::Reopen() folds the committed records into the final
+// This header holds the record format and the fold. The log itself is
+// ReplicatedManifest (replicated_manifest.h): records are staged with
+// Append() and become durable atomically with Commit(): a crash
+// discards the staged tail but never splits a commit group.
+// Database::Reopen() folds the committed records into the final
 // logical state and rebuilds catalog/views from it; live disk pages not
 // referenced by any recovered table are orphans (half-built speculative
 // materializations) and are garbage-collected.
@@ -71,27 +73,6 @@ struct ManifestRecord {
   static ManifestRecord DropTable(std::string table);
   static ManifestRecord ShardMove(uint64_t shard, uint32_t target_node);
   static ManifestRecord Repair(std::string note);
-};
-
-class Manifest {
- public:
-  /// Stage a record (volatile until the next Commit).
-  void Append(ManifestRecord record);
-
-  /// Atomically make every staged record durable. All-or-nothing with
-  /// respect to a crash.
-  void Commit();
-
-  /// Crash: the staged (uncommitted) tail is lost.
-  void DropUncommitted() { staged_.clear(); }
-
-  const std::vector<ManifestRecord>& committed() const { return records_; }
-  size_t committed_count() const { return records_.size(); }
-  size_t staged_count() const { return staged_.size(); }
-
- private:
-  std::vector<ManifestRecord> records_;  // durable prefix
-  std::vector<ManifestRecord> staged_;   // volatile commit group
 };
 
 /// Final logical state after folding a committed record sequence:

@@ -1,10 +1,9 @@
 // Replicated redo manifest: the metadata log survives node loss.
 //
-// The single-node Manifest (manifest.h) models one durable file. At
-// scale the manifest is the database's root of trust — matview
-// registrations and bulk-load commit groups must survive losing any one
-// storage node — so the sharded tier replicates it with a minimal
-// raft-style log (DESIGN.md §12–13):
+// The manifest (record format and fold in manifest.h) is the
+// database's root of trust — matview registrations and bulk-load
+// commit groups must survive losing any one storage node — so it is
+// kept as a minimal replicated raft-style log (DESIGN.md §12–13):
 //
 //   * one replica per storage node; replica k dies with node k;
 //   * a fixed leader appends each commit group as one log entry stamped
@@ -37,7 +36,7 @@
 // describes.
 //
 // With one replica (a single-node database) every Commit() trivially
-// reaches quorum locally and the class behaves exactly like Manifest.
+// reaches quorum locally: the log behaves as one durable file.
 #pragma once
 
 #include <cstdint>

@@ -75,7 +75,7 @@ class HashAggregateExecutor : public Executor {
 /// flushes all of a probe row's matches) wait in `child_batch_` for a
 /// later call. The child is therefore charged exactly as the subtree
 /// driven at batch size 1 until it covers `limit` rows, whatever the
-/// output batch size or exec_threads (DESIGN.md §10).
+/// output batch size (DESIGN.md §10).
 class LimitExecutor : public Executor {
  public:
   LimitExecutor(std::unique_ptr<Executor> child, uint64_t limit)

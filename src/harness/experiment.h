@@ -29,8 +29,8 @@ struct ExperimentConfig {
   /// See tpch::LoadOptions::prepare_skewed_fields (ablation E8 sets
   /// false so histogram/index-creation manipulations have room to act).
   bool prepare_skewed_fields = true;
-  /// Morsel worker pool width for the built database (DESIGN.md §15);
-  /// 1 = serial execution.
+  /// Ignored: execution is single-threaded (DESIGN.md §15). Kept only
+  /// because the benchmark driver still assigns it.
   size_t exec_threads = 1;
   /// Simulated storage nodes (DESIGN.md §12); 1 = single-node store.
   size_t storage_nodes = 1;
@@ -38,8 +38,8 @@ struct ExperimentConfig {
   /// (DESIGN.md §9). Null = off.
   Tracer* tracer = nullptr;
   /// Optional telemetry sampler (DESIGN.md §16): BuildDatabase attaches
-  /// the scheduler probe, drivers attach it to their SimServers, and
-  /// speculative replays feed it counter tracks. Null = off.
+  /// the tracer, drivers attach it to their SimServers, and speculative
+  /// replays feed it counter tracks. Null = off.
   MetricsTimeline* timeline = nullptr;
 };
 

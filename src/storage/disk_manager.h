@@ -67,13 +67,6 @@ class DiskManager : public PageStore {
   /// block read. A checksum mismatch (torn page) returns kDataLoss.
   Status ReadPage(page_id_t page_id, Page* out) override;
 
-  /// Snapshot a page's current bytes with zero accounting side effects
-  /// (no charge, no fault point, no counters): the parallel executors'
-  /// lookahead read. Checksum is still verified; a mismatch fails
-  /// silently (without counting) so the foreground's replayed ReadPage
-  /// reports the loss exactly as the sequential engine would.
-  Status PeekPage(page_id_t page_id, Page* out) override;
-
   /// Copy page contents in -> write cache (volatile until the next
   /// Sync). Charges one block write.
   Status WritePage(page_id_t page_id, const Page& in) override;

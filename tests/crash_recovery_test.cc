@@ -17,6 +17,7 @@
 #include "common/metrics_timeline.h"
 #include "db/database.h"
 #include "db/manifest.h"
+#include "db/replicated_manifest.h"
 #include "sim/sim_server.h"
 #include "speculation/engine.h"
 #include "test_util.h"
@@ -160,7 +161,7 @@ TEST_F(DiskCrashTest, CrashFaultPointKillsTheDiskMidWrite) {
 // ------------------------------------------------------------- manifest
 
 TEST(ManifestTest, CommitIsAtomic) {
-  Manifest manifest;
+  ReplicatedManifest manifest(1);
   Schema schema({{"x", TypeId::kInt64}});
   manifest.Append(ManifestRecord::CreateTable("t", schema, false));
   manifest.Append(ManifestRecord::BulkLoadCommit("t", {0, 1}, 10));
@@ -175,7 +176,7 @@ TEST(ManifestTest, CommitIsAtomic) {
   // ...and a commit makes it durable as one unit.
   manifest.Append(ManifestRecord::CreateTable("t", schema, false));
   manifest.Append(ManifestRecord::BulkLoadCommit("t", {0, 1}, 10));
-  manifest.Commit();
+  ASSERT_TRUE(manifest.Commit().ok());
   EXPECT_EQ(manifest.committed_count(), 2u);
   manifest.Append(ManifestRecord::DropTable("t"));
   manifest.DropUncommitted();

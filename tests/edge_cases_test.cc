@@ -65,6 +65,14 @@ TEST(ExpressionTest, AllCompareOpsEvaluate) {
   }
 }
 
+/// "<prefix><i>", built by appending: GCC 12 reports a false -Wrestrict
+/// on `"t" + std::to_string(i)` here.
+std::string Numbered(const char* prefix, int i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
 TEST(PlannerEdgeTest, EmptyQueryIsAnError) {
   std::unique_ptr<Database> db(testutil::MakeTwoTableDb(10, 10));
   EXPECT_FALSE(db->planner().Plan(QueryGraph()).ok());
@@ -78,8 +86,8 @@ TEST(PlannerEdgeTest, ManyRelationCrossProductStillPlans) {
   Database db(options);
   QueryGraph q;
   for (int i = 0; i < 12; i++) {
-    std::string name = "t" + std::to_string(i);
-    Schema schema({{"c" + std::to_string(i), TypeId::kInt64}});
+    std::string name = Numbered("t", i);
+    Schema schema({{Numbered("c", i), TypeId::kInt64}});
     ASSERT_TRUE(db.CreateTable(name, schema).ok());
     ASSERT_TRUE(db.BulkLoad(name, {Tuple{Value(int64_t{i})}}).ok());
     q.AddRelation(name);
@@ -90,8 +98,8 @@ TEST(PlannerEdgeTest, ManyRelationCrossProductStillPlans) {
 
   // Beyond 16 scan units the planner refuses (documented limit).
   for (int i = 12; i < 17; i++) {
-    std::string name = "t" + std::to_string(i);
-    Schema schema({{"c" + std::to_string(i), TypeId::kInt64}});
+    std::string name = Numbered("t", i);
+    Schema schema({{Numbered("c", i), TypeId::kInt64}});
     ASSERT_TRUE(db.CreateTable(name, schema).ok());
     q.AddRelation(name);
   }

@@ -123,6 +123,33 @@ TEST_F(ExplainTest, ProfilingNeverChangesSimulatedCharges) {
   // Without the flag there is no profile, but est_rows still lands.
   EXPECT_EQ(base->profile, nullptr);
   EXPECT_DOUBLE_EQ(base->est_rows, with->est_rows);
+
+  // LIMIT over a join pulls its child one row per batch (DESIGN.md
+  // §10); the wrappers must leave those partial drains untouched too.
+  const struct {
+    const char* sql;
+    uint64_t rows;
+  } limits[] = {
+      {"SELECT * FROM r, s WHERE r_id = s_rid LIMIT 37", 37},
+      {"SELECT r_s, s_c FROM r, s WHERE r_id = s_rid AND s_c < 20 "
+       "LIMIT 700",
+       700},
+  };
+  for (const auto& c : limits) {
+    SCOPED_TRACE(c.sql);
+    ASSERT_TRUE(db_->ColdStart().ok());
+    auto limited = db_->ExecuteSql(c.sql, plain);
+    ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+    ASSERT_TRUE(db_->ColdStart().ok());
+    auto limited_with = db_->ExecuteSql(c.sql, profiled);
+    ASSERT_TRUE(limited_with.ok()) << limited_with.status().ToString();
+    EXPECT_EQ(limited->row_count, c.rows);
+    EXPECT_EQ(limited_with->row_count, c.rows);
+    EXPECT_EQ(limited->blocks, limited_with->blocks);
+    // Each run's seconds is a difference of the database's running
+    // meter total, so only its rounding may differ between runs.
+    EXPECT_NEAR(limited->seconds, limited_with->seconds, 1e-9);
+  }
 }
 
 TEST_F(ExplainTest, TextRenderingIsByteIdenticalAcrossRuns) {

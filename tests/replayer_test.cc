@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common/metrics_registry.h"
+#include "common/metrics_timeline.h"
 #include "test_util.h"
 
 namespace sqp {
@@ -102,16 +106,37 @@ TEST_F(ReplayerTest, ReplayLeavesDatabaseClean) {
 
 TEST_F(ReplayerTest, ReplayIsDeterministic) {
   Trace trace = ThinkyTrace();
-  ReplayOptions options;
-  options.speculation = true;
-  auto a = TraceReplayer(db_.get(), options).Replay(trace);
-  auto b = TraceReplayer(db_.get(), options).Replay(trace);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->queries.size(), b->queries.size());
-  for (size_t i = 0; i < a->queries.size(); i++) {
-    EXPECT_NEAR(a->queries[i].seconds, b->queries[i].seconds, 1e-9) << i;
+  std::vector<ReplayResult> runs;
+  std::vector<std::string> dumps;
+  for (int run = 0; run < 3; run++) {
+    // Every run samples from a zeroed registry, so cumulative values
+    // align, not just deltas.
+    MetricsRegistry::Global().ResetAll();
+    MetricsTimeline timeline;
+    ReplayOptions options;
+    options.speculation = true;
+    options.timeline = &timeline;
+    auto result = TraceReplayer(db_.get(), options).Replay(trace);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(timeline.tick_count(), 10u);
+    runs.push_back(std::move(*result));
+    dumps.push_back(timeline.FormatCsv());
   }
+  for (size_t run = 1; run < runs.size(); run++) {
+    ASSERT_EQ(runs[0].queries.size(), runs[run].queries.size());
+    for (size_t i = 0; i < runs[0].queries.size(); i++) {
+      EXPECT_NEAR(runs[0].queries[i].seconds, runs[run].queries[i].seconds,
+                  1e-9)
+          << "run " << run << " query " << i;
+    }
+  }
+  // The timeline dump (DESIGN.md §16) is byte-identical as well, the
+  // execution-shape counters included. Run 0 registers the lazily
+  // created families, so the differential is runs 1 and 2.
+  EXPECT_NE(dumps[1].find("bufferpool.hits"), std::string::npos);
+  EXPECT_NE(dumps[1].find("attr.query.blocks"), std::string::npos);
+  EXPECT_NE(dumps[1].find("exec.batch.rows"), std::string::npos);
+  EXPECT_EQ(dumps[1], dumps[2]);
 }
 
 TEST_F(ReplayerTest, ExecutionDelaysShiftLaterEvents) {

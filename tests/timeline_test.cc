@@ -86,34 +86,28 @@ TEST(MetricsTimelineTest, DeltasStayValidAcrossEpochs) {
   EXPECT_EQ(find(timeline.ticks()[1], "storage.disk.reads").delta, 7.0);
 }
 
-TEST(MetricsTimelineTest, DeterministicFilterExcludesWallClockFamilies) {
+TEST(MetricsTimelineTest, DeterministicFilterExcludesTheSeriesCount) {
   EXPECT_TRUE(MetricsTimeline::IsDeterministicSeries("storage.disk.reads"));
   EXPECT_TRUE(MetricsTimeline::IsDeterministicSeries("telemetry.ticks"));
-  EXPECT_FALSE(MetricsTimeline::IsDeterministicSeries("scheduler.tasks"));
-  EXPECT_FALSE(
-      MetricsTimeline::IsDeterministicSeries("exec.parallel.morsels"));
-  EXPECT_FALSE(
-      MetricsTimeline::IsDeterministicSeries("spec.parallel.fallbacks"));
-  // Batch boundaries follow the execution shape (fused parallel probe)
-  // and the series gauge counts thread-dependent families: excluded.
-  EXPECT_FALSE(MetricsTimeline::IsDeterministicSeries("exec.batch.rows"));
+  // One execution path: batch boundaries are a function of the replay.
+  EXPECT_TRUE(MetricsTimeline::IsDeterministicSeries("exec.batch.rows"));
+  // The series gauge measures the registry, not the replay: excluded.
   EXPECT_FALSE(MetricsTimeline::IsDeterministicSeries("telemetry.series"));
 
   MetricsRegistry registry;
-  registry.GetCounter("scheduler.tasks")->Increment(3);
   registry.GetCounter("bufferpool.hits")->Increment(5);
   MetricsTimeline timeline({}, &registry);
   timeline.AdvanceTo(0.0);
 
   std::string csv = timeline.FormatCsv();
   EXPECT_NE(csv.find("bufferpool.hits"), std::string::npos);
-  EXPECT_EQ(csv.find("scheduler.tasks"), std::string::npos);
+  EXPECT_EQ(csv.find("telemetry.series"), std::string::npos);
   std::string all = timeline.FormatCsv(/*include_nondeterministic=*/true);
-  EXPECT_NE(all.find("scheduler.tasks"), std::string::npos);
+  EXPECT_NE(all.find("telemetry.series"), std::string::npos);
 
   std::string json = timeline.FormatJson();
   EXPECT_NE(json.find("\"bufferpool.hits\""), std::string::npos);
-  EXPECT_EQ(json.find("\"scheduler.tasks\""), std::string::npos);
+  EXPECT_EQ(json.find("\"telemetry.series\""), std::string::npos);
 }
 
 TEST(MetricsTimelineTest, RingBufferDropsOldestTicks) {
